@@ -9,11 +9,29 @@ aggregation, so it is sharded over a worker pool when ``workers > 1``
 (see :mod:`repro.perf.parallel`); outcomes are merged in sample order,
 which keeps parallel results bit-identical to the serial path.  A
 :class:`~repro.perf.profiler.PipelineProfiler` times every stage.
+
+The per-record rules — the funnel tally (:meth:`PipelineStats.tally`,
+:meth:`PipelineStats.count_kept`), the recovery fixpoint
+(:func:`recover_linked`), the proxy rule (:func:`proxy_candidates`,
+:func:`proxy_ips`) and the records-to-derived-state step
+(:func:`derive_from_records`) — live here once; the scale, ingest and
+serve drivers call them instead of keeping copies.
 """
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.common.net import is_ipv4_literal
 from repro.core.aggregation import (
@@ -23,7 +41,7 @@ from repro.core.aggregation import (
 )
 from repro.core.dynamic_analysis import DynamicAnalyzer
 from repro.core.enrichment import CampaignEnricher
-from repro.core.extraction import ExtractionEngine
+from repro.core.extraction import DEFAULT_ANALYSIS_DATE, ExtractionEngine
 from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
 from repro.core.sanity import SanityChecker, SanityVerdict
@@ -38,8 +56,6 @@ from repro.perf.parallel import (
 from repro.perf.profiler import PipelineProfiler
 from repro.perf.scan import profiled_scan
 from repro.sandbox.emulator import Sandbox, SandboxEnvironment
-
-_DEFAULT_ANALYSIS_DATE = datetime.date(2018, 9, 1)
 
 
 def build_analysis_components(
@@ -79,15 +95,14 @@ def linked_hashes(record: MinerRecord, vt) -> Set[str]:
     return linked
 
 
-def analyze_linked_sample(
-        sample: SampleRecord,
-        engine: ExtractionEngine) -> Tuple[MinerRecord, SanityVerdict]:
+def analyze_linked_sample(sample: SampleRecord, engine: ExtractionEngine,
+                          index: int = -1) -> SampleOutcome:
     """Admit one dropper-linked executable into the dataset (§III-E).
 
     The caller has already established executability, malware status and
-    the link to an accepted record; this runs the extraction and types
-    the record Miner/Ancillary.  Shared by the batch pipeline's
-    ancillary recovery and the streaming ingestion service.
+    the link to an accepted record; this runs the extraction, types the
+    record Miner/Ancillary and returns it as a ``recovered`` outcome.
+    ``index`` is the sample's feed position, for drivers that journal it.
     """
     record, _report = engine.extract_with_report(sample)
     record.type = "Miner" if record.identifiers else "Ancillary"
@@ -95,15 +110,45 @@ def analyze_linked_sample(
         sample.sha256, is_executable=True, is_malware=True,
         is_miner=bool(record.identifiers),
         reasons=None if record.identifiers else "ancillary")
-    return record, verdict
+    return SampleOutcome(index, sample.sha256, "recovered",
+                         verdict=verdict, record=record)
+
+
+def recover_linked(linked: Iterable[str],
+                   admit: Callable[[str], Optional[MinerRecord]],
+                   links_of: Callable[[MinerRecord], Iterable[str]]) -> int:
+    """Dropper-chain recovery to a fixpoint (§III-E); returns how many
+    records it admitted.
+
+    A malware executable that failed the is-miner check still enters
+    the dataset as an *ancillary* when it is a parent of an accepted
+    sample, or an accepted sample dropped it.  Chains can be several
+    hops long (dropper -> loader -> miner), so recovery runs in waves:
+    each wave offers every hash in ``linked`` to ``admit`` in sorted
+    order, and the next wave follows only ``links_of`` the records this
+    wave admitted (frontier-based, never a rescan of every record).
+
+    ``admit(sha)`` is the driver's admission universe and state: it
+    returns the newly kept record, or None for a hash that is already
+    kept, missing, or not malware.
+    """
+    recovered = 0
+    linked = set(linked)
+    while linked:
+        admitted = [record for record in map(admit, sorted(linked))
+                    if record is not None]
+        recovered += len(admitted)
+        linked = set()
+        for record in admitted:
+            linked.update(links_of(record))
+    return recovered
 
 
 def proxy_candidate_ip(record: MinerRecord) -> Optional[str]:
     """The non-pool IPv4 endpoint a record mined against, if any.
 
-    First half of the proxy rule (§III-C); the second half — one of the
-    record's wallets shows activity at a known transparent pool — needs
-    profit profiles and is applied by the caller.
+    First half of the proxy rule (§III-C); :func:`proxy_ips` applies
+    the second half, which needs profit profiles.
     """
     if record.dst_ip is None or record.pool is not None:
         return None
@@ -112,6 +157,69 @@ def proxy_candidate_ip(record: MinerRecord) -> Optional[str]:
     if not is_ipv4_literal(record.dst_ip):
         return None
     return record.dst_ip
+
+
+def proxy_candidates(records: Iterable[MinerRecord]
+                     ) -> Iterator[Tuple[str, Tuple[str, ...]]]:
+    """``(candidate IP, wallets)`` of every record that could reveal a
+    proxy: the compact form :func:`proxy_ips` consumes."""
+    for record in records:
+        candidate = proxy_candidate_ip(record)
+        if candidate is not None and record.identifiers:
+            yield candidate, tuple(record.identifiers)
+
+
+def proxy_ips(candidates: Iterable[Tuple[str, Sequence[str]]],
+              profiles: Mapping[str, WalletProfile]) -> Set[str]:
+    """Proxy rule (§III-C): a sample mines against a non-pool IP but one
+    of its wallets shows activity at a known (transparent) pool.
+
+    ``profiles`` holds only wallets with activity
+    (:meth:`~repro.core.profit.ProfitAnalyzer.profile_many`).
+    """
+    return {candidate for candidate, identifiers in candidates
+            if any(identifier in profiles for identifier in identifiers)}
+
+
+def derive_from_records(records: Iterable[MinerRecord],
+                        profit: ProfitAnalyzer,
+                        aggregator) -> Tuple[Dict[str, WalletProfile],
+                                             Set[str]]:
+    """Profiles and proxies of a bare record set, fed with the records
+    to ``aggregator``.
+
+    Each identifier is profiled once, in first-seen record order.
+    ``aggregator`` is an incremental union-find
+    (:class:`repro.ingest.aggregator.IncrementalAggregator`, duck-typed
+    to avoid a core -> ingest import).  Everything here is a pure
+    function of the records, so a restore or an index build re-derives
+    it rather than persisting pool responses.
+    """
+    records = list(records)
+    profiles = profit.profile_many(dict.fromkeys(
+        identifier for record in records
+        for identifier in record.identifiers))
+    proxies = proxy_ips(proxy_candidates(records), profiles)
+    for record in records:
+        aggregator.add_record(record)
+    aggregator.add_proxy_ips(proxies)
+    return profiles, proxies
+
+
+#: funnel counters (Table III) each stage-outcome kind advances.
+_OUTCOME_COUNTERS: Dict[str, Tuple[str, ...]] = {
+    "nonexec": (),
+    "deferred": ("executables",),
+    "rejected": ("executables", "malware", "sandbox_analyses"),
+    "miner": ("executables", "malware", "sandbox_analyses"),
+    "clean": (),
+    "exception": ("sandbox_analyses", "binary_analyses",
+                  "wallet_exception_hits"),
+    "recovered": ("sandbox_analyses",),
+}
+
+#: outcome kinds whose record enters the dataset.
+KEPT_OUTCOMES = frozenset({"miner", "exception", "recovered"})
 
 
 @dataclass
@@ -132,6 +240,32 @@ class PipelineStats:
     @property
     def all_executables_kept(self) -> int:
         return self.miners + self.ancillaries
+
+    def tally(self, outcome: SampleOutcome) -> None:
+        """Count one stage outcome into the funnel (keyed by its kind);
+        a stage-1 analysis also counts its network and binary evidence."""
+        for name in _OUTCOME_COUNTERS[outcome.kind]:
+            setattr(self, name, getattr(self, name) + 1)
+        if outcome.has_network:
+            self.network_analyses += 1
+        if outcome.used_static:
+            self.binary_analyses += 1
+
+    def count_kept(self, record: MinerRecord,
+                   sample: Optional[SampleRecord] = None) -> None:
+        """Count one record of the final dataset as Miner or Ancillary,
+        and toward every feed that carried its ``sample``.
+
+        Feeds overlap (Appendix C): a sample counts toward each feed
+        that carries it, so per-source totals can exceed the dataset
+        size, exactly like Table III.
+        """
+        if record.is_miner:
+            self.miners += 1
+        else:
+            self.ancillaries += 1
+        for feed in sample.sources if sample is not None else ():
+            self.by_source[feed] = self.by_source.get(feed, 0) + 1
 
 
 @dataclass
@@ -202,7 +336,7 @@ class MeasurementPipeline:
     def __init__(self, world: SyntheticWorld,
                  policy: Optional[GroupingPolicy] = None,
                  positives_threshold: int = 10,
-                 analysis_date: datetime.date = _DEFAULT_ANALYSIS_DATE,
+                 analysis_date: datetime.date = DEFAULT_ANALYSIS_DATE,
                  use_ha_reports: bool = True,
                  workers: int = 1,
                  chunk_size: Optional[int] = None,
@@ -237,10 +371,39 @@ class MeasurementPipeline:
 
     def _run_stages(self) -> MeasurementResult:
         prof = self.profiler
+        vt = self.world.vt
         stats = PipelineStats(collected=len(self.world.samples))
         verdicts: Dict[str, SanityVerdict] = {}
         records: Dict[str, MinerRecord] = {}
-        deferred: List[SampleRecord] = []
+        deferred: List[int] = []
+
+        def merge(outcome: SampleOutcome) -> None:
+            """Fold one outcome in; outcomes arrive in sample order, so
+            pooled runs stay identical to the serial loop."""
+            stats.tally(outcome)
+            if outcome.kind == "deferred":
+                deferred.append(outcome.index)
+                return
+            verdicts[outcome.sha256] = outcome.verdict
+            if outcome.kind == "miner":
+                self._checker.confirm_wallets(
+                    set(outcome.record.identifiers))
+            if outcome.kind in KEPT_OUTCOMES:
+                records[outcome.sha256] = outcome.record
+
+        def admit(sha: str) -> Optional[MinerRecord]:
+            """Recovery over the whole world: any linked malware
+            executable not kept yet."""
+            if sha in records:
+                return None
+            sample = self.world.sample_by_hash(sha)
+            if (sample is None
+                    or not self._checker.is_executable(sample.raw)
+                    or not self._checker.is_malware(sha)):
+                return None
+            outcome = analyze_linked_sample(sample, self._engine)
+            merge(outcome)
+            return outcome.record
 
         with ParallelExtractionEngine(
                 self.world, self._spec, workers=self.workers,
@@ -249,21 +412,25 @@ class MeasurementPipeline:
             # -- stage 1: sanity + extraction for confirmed malware -----
             with prof.stage("sanity + extraction",
                             items=len(self.world.samples)):
-                outcomes = engine.map_stage1(
-                    range(len(self.world.samples)))
-                self._merge_stage1(outcomes, stats, verdicts, records,
-                                   deferred)
+                for outcome in engine.map_stage1(
+                        range(len(self.world.samples))):
+                    merge(outcome)
 
             # -- stage 2: illicit-wallet exception sweep -----------------
             with prof.stage("wallet-exception sweep", items=len(deferred)):
-                sweep = engine.map_stage2(
-                    self._deferred_indices(deferred),
-                    frozenset(self._checker.confirmed_illicit_wallets))
-                self._merge_stage2(sweep, stats, verdicts, records)
+                for outcome in engine.map_stage2(
+                        deferred,
+                        frozenset(self._checker.confirmed_illicit_wallets)):
+                    merge(outcome)
 
             # -- stage 3: ancillary recovery -----------------------------
             with prof.stage("ancillary recovery"):
-                self._recover_ancillaries(records, verdicts, stats)
+                recovered = recover_linked(
+                    set().union(*(linked_hashes(record, vt)
+                                  for record in records.values())),
+                    admit, lambda record: linked_hashes(record, vt))
+                if recovered:
+                    prof.count("ancillaries_recovered", recovered)
 
             kept = list(records.values())
 
@@ -279,18 +446,8 @@ class MeasurementPipeline:
 
         with prof.stage("funnel accounting", items=len(kept)):
             for record in kept:
-                if record.is_miner:
-                    stats.miners += 1
-                else:
-                    stats.ancillaries += 1
-                sample = self.world.sample_by_hash(record.sha256)
-                if sample is not None:
-                    # feeds overlap (Appendix C): a sample counts toward
-                    # every feed that carries it, so per-source totals can
-                    # exceed the dataset size, exactly like Table III.
-                    for feed in sample.sources:
-                        stats.by_source[feed] = \
-                            stats.by_source.get(feed, 0) + 1
+                stats.count_kept(record,
+                                 self.world.sample_by_hash(record.sha256))
 
         # -- stage 4: profit analysis ------------------------------------
         identifiers = {
@@ -302,12 +459,12 @@ class MeasurementPipeline:
 
         # -- stage 5: proxy identification --------------------------------
         with prof.stage("proxy identification"):
-            proxy_ips = self._find_proxies(kept, profiles)
+            proxies = proxy_ips(proxy_candidates(kept), profiles)
 
         # -- stage 6: aggregation ------------------------------------------
         with prof.stage("aggregation", items=len(kept)):
             aggregator = CampaignAggregator(
-                self.world.osint, self._policy, proxy_ips=proxy_ips)
+                self.world.osint, self._policy, proxy_ips=proxies)
             campaigns = aggregator.aggregate(kept)
 
         # -- stage 7: enrichment --------------------------------------------
@@ -324,54 +481,8 @@ class MeasurementPipeline:
             profiles=profiles,
             verdicts=verdicts,
             stats=stats,
-            proxy_ips=proxy_ips,
+            proxy_ips=proxies,
         )
-
-    # ------------------------------------------------------------------
-    # stage merges (order-preserving: identical to the serial loops)
-    # ------------------------------------------------------------------
-
-    def _deferred_indices(self, deferred: List[SampleRecord]) -> List[int]:
-        index_of = {id(s): i for i, s in enumerate(self.world.samples)}
-        return [index_of[id(s)] for s in deferred]
-
-    def _merge_stage1(self, outcomes: List[SampleOutcome],
-                      stats: PipelineStats,
-                      verdicts: Dict[str, SanityVerdict],
-                      records: Dict[str, MinerRecord],
-                      deferred: List[SampleRecord]) -> None:
-        for outcome in outcomes:
-            if outcome.kind == "nonexec":
-                verdicts[outcome.sha256] = outcome.verdict
-                continue
-            stats.executables += 1
-            if outcome.kind == "deferred":
-                deferred.append(self.world.samples[outcome.index])
-                continue
-            stats.malware += 1
-            stats.sandbox_analyses += 1
-            if outcome.has_network:
-                stats.network_analyses += 1
-            if outcome.used_static:
-                stats.binary_analyses += 1
-            verdicts[outcome.sha256] = outcome.verdict
-            if outcome.kind == "miner":
-                records[outcome.sha256] = outcome.record
-                self._checker.confirm_wallets(
-                    set(outcome.record.identifiers))
-
-    def _merge_stage2(self, outcomes: List[SampleOutcome],
-                      stats: PipelineStats,
-                      verdicts: Dict[str, SanityVerdict],
-                      records: Dict[str, MinerRecord]) -> None:
-        for outcome in outcomes:
-            verdicts[outcome.sha256] = outcome.verdict
-            if outcome.kind != "exception":
-                continue
-            stats.sandbox_analyses += 1
-            stats.binary_analyses += 1
-            stats.wallet_exception_hits += 1
-            records[outcome.sha256] = outcome.record
 
     # ------------------------------------------------------------------
 
@@ -400,59 +511,3 @@ class MeasurementPipeline:
             sample_hashes.append(sha)
         return engine.warm_fuzzy_hashes(
             sample_hashes, range(len(catalog.binaries())))
-
-    # ------------------------------------------------------------------
-
-    def _recover_ancillaries(self, records: Dict[str, MinerRecord],
-                             verdicts: Dict[str, SanityVerdict],
-                             stats: PipelineStats) -> None:
-        """Pull in droppers/loaders linked to accepted miners (§III-E).
-
-        A malware executable that failed the is-miner check still enters
-        the dataset as an *ancillary* when it is a parent of an accepted
-        sample, or an accepted sample dropped it.
-
-        Dropper chains can be several hops long (dropper -> loader ->
-        miner), so recovery iterates to a fixpoint — but frontier-based:
-        each wave only expands the records added by the previous wave
-        instead of rescanning every accepted record (the old fixpoint
-        was O(n^2) in the number of records).
-        """
-        frontier = list(records)
-        while frontier:
-            linked: Set[str] = set()
-            for sha in frontier:
-                linked.update(linked_hashes(records[sha], self.world.vt))
-            frontier = []
-            for sha in sorted(linked):
-                if sha in records:
-                    continue
-                sample = self.world.sample_by_hash(sha)
-                if sample is None:
-                    continue
-                if not self._checker.is_executable(sample.raw):
-                    continue
-                if not self._checker.is_malware(sample.sha256):
-                    continue
-                record, verdict = analyze_linked_sample(sample, self._engine)
-                stats.sandbox_analyses += 1
-                records[sha] = record
-                verdicts[sha] = verdict
-                frontier.append(sha)
-                self.profiler.count("ancillaries_recovered")
-
-    def _find_proxies(self, records: List[MinerRecord],
-                      profiles: Dict[str, WalletProfile]) -> Set[str]:
-        """Proxy rule (§III-C): a sample mines against a non-pool IP but
-        its wallet shows activity at a known (transparent) pool."""
-        proxies: Set[str] = set()
-        for record in records:
-            candidate = proxy_candidate_ip(record)
-            if candidate is None:
-                continue
-            for identifier in record.identifiers:
-                profile = profiles.get(identifier)
-                if profile is not None and profile.records:
-                    proxies.add(candidate)
-                    break
-        return proxies

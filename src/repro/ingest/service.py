@@ -33,13 +33,18 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.aggregation import GroupingPolicy
 from repro.core.enrichment import CampaignEnricher
+from repro.core.extraction import DEFAULT_ANALYSIS_DATE
 from repro.core.pipeline import (
+    KEPT_OUTCOMES,
     MeasurementResult,
     PipelineStats,
     analyze_linked_sample,
     build_analysis_components,
+    derive_from_records,
     linked_hashes,
-    proxy_candidate_ip,
+    proxy_candidates,
+    proxy_ips,
+    recover_linked,
 )
 from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
@@ -66,8 +71,6 @@ from repro.perf.parallel import (
     SampleOutcome,
 )
 from repro.perf.profiler import PipelineProfiler
-
-_DEFAULT_ANALYSIS_DATE = datetime.date(2018, 9, 1)
 
 #: stage-1 outcome kinds (everything else is a promotion or recovery).
 _STAGE1_KINDS = frozenset({"nonexec", "deferred", "rejected", "miner"})
@@ -180,7 +183,7 @@ class IngestionService:
                  batch_days: int = 1,
                  policy: Optional[GroupingPolicy] = None,
                  positives_threshold: int = 10,
-                 analysis_date: datetime.date = _DEFAULT_ANALYSIS_DATE,
+                 analysis_date: datetime.date = DEFAULT_ANALYSIS_DATE,
                  use_ha_reports: bool = True,
                  workers: int = 1,
                  chunk_size: Optional[int] = None,
@@ -359,46 +362,25 @@ class IngestionService:
         one.
         """
         sha = outcome.sha256
-        stats = self._stats
-        if outcome.kind == "nonexec":
-            self._verdicts[sha] = outcome.verdict
-        elif outcome.kind == "deferred":
-            stats.executables += 1
+        self._stats.tally(outcome)
+        if outcome.kind == "deferred":
             self._pending[sha] = outcome.index
             quick = self._engine.extract_static_only(
                 self.world.samples[outcome.index])
             self._pending_ids[sha] = frozenset(quick.identifiers)
-        elif outcome.kind in ("rejected", "miner"):
-            stats.executables += 1
-            stats.malware += 1
-            stats.sandbox_analyses += 1
-            if outcome.has_network:
-                stats.network_analyses += 1
-            if outcome.used_static:
-                stats.binary_analyses += 1
-            self._verdicts[sha] = outcome.verdict
-            if outcome.kind == "miner":
-                self._confirmed.update(outcome.record.identifiers)
-                if sha not in self._records:
-                    self._records[sha] = outcome.record
-                    new_records.append(sha)
+            return
+        self._verdicts[sha] = outcome.verdict
+        if outcome.kind == "miner":
+            self._confirmed.update(outcome.record.identifiers)
         elif outcome.kind == "exception":
-            stats.sandbox_analyses += 1
-            stats.binary_analyses += 1
-            stats.wallet_exception_hits += 1
-            self._verdicts[sha] = outcome.verdict
             self._pending.pop(sha, None)
             self._pending_ids.pop(sha, None)
-            if sha not in self._records:
-                self._records[sha] = outcome.record
-                new_records.append(sha)
         elif outcome.kind == "recovered":
-            stats.sandbox_analyses += 1
-            self._verdicts[sha] = outcome.verdict
             self._wanted.discard(sha)
-            if sha not in self._records:
-                self._records[sha] = outcome.record
-                new_records.append(sha)
+        if outcome.kind in KEPT_OUTCOMES and sha not in self._records:
+            self._records[sha] = outcome.record
+            new_records.append(sha)
+            if outcome.kind == "recovered":
                 self.profiler.count("ancillaries_recovered")
         # stage-2 "clean" sweeps are never journaled: a pending sample
         # stays pending until a later batch confirms one of its wallets.
@@ -436,42 +418,34 @@ class IngestionService:
         earlier batch wanted that arrived just now.  Links pointing at
         samples still missing from the feed go on the wanted list.
         """
-        recovered = 0
-        frontier = list(dict.fromkeys(frontier_seed + new_records))
-        pending_wanted = sorted(self._wanted.intersection(arrived_now))
+        def admit(sha: str) -> Optional[MinerRecord]:
+            if sha in self._records:
+                self._wanted.discard(sha)
+                return None
+            if sha not in self._arrived:
+                if self.world.sample_by_hash(sha) is not None:
+                    self._wanted.add(sha)
+                return None
+            self._wanted.discard(sha)
+            index = self._arrived[sha]
+            sample = self.world.samples[index]
+            if (not self._checker.is_executable(sample.raw)
+                    or not self._checker.is_malware(sha)):
+                return None
+            outcome = analyze_linked_sample(sample, self._engine, index)
+            self.store.append_outcome(batch.batch_id,
+                                      encode_outcome(outcome))
+            self._apply_outcome(outcome, new_records)
+            return outcome.record
+
         with self.profiler.stage("ingest: recovery"):
-            while frontier or pending_wanted:
-                linked: Set[str] = set(pending_wanted)
-                pending_wanted = []
-                for sha in frontier:
-                    linked.update(linked_hashes(self._records[sha],
-                                                self.world.vt))
-                frontier = []
-                for sha in sorted(linked):
-                    if sha in self._records:
-                        self._wanted.discard(sha)
-                        continue
-                    if sha not in self._arrived:
-                        if self.world.sample_by_hash(sha) is not None:
-                            self._wanted.add(sha)
-                        continue
-                    self._wanted.discard(sha)
-                    sample = self.world.samples[self._arrived[sha]]
-                    if not self._checker.is_executable(sample.raw):
-                        continue
-                    if not self._checker.is_malware(sample.sha256):
-                        continue
-                    record, verdict = analyze_linked_sample(
-                        sample, self._engine)
-                    outcome = SampleOutcome(
-                        index=self._arrived[sha], sha256=sha,
-                        kind="recovered", verdict=verdict, record=record)
-                    self.store.append_outcome(batch.batch_id,
-                                              encode_outcome(outcome))
-                    self._apply_outcome(outcome, new_records)
-                    frontier.append(sha)
-                    recovered += 1
-        return recovered
+            linked = self._wanted.intersection(arrived_now)
+            for sha in frontier_seed + new_records:
+                linked.update(linked_hashes(self._records[sha],
+                                            self.world.vt))
+            return recover_linked(
+                linked, admit,
+                lambda record: linked_hashes(record, self.world.vt))
 
     def _profile_new_identifiers(self,
                                  new_records: List[str]) -> tuple:
@@ -482,16 +456,10 @@ class IngestionService:
                 if identifier not in self._profiled:
                     self._profiled.add(identifier)
                     fresh.append(identifier)
-        new_wallets = 0
-        profit_delta = 0.0
         with self.profiler.stage("ingest: profit", items=len(fresh)):
-            for identifier in sorted(fresh):
-                profile = self._profit.profile_wallet(identifier)
-                if profile.records:
-                    self._profiles[identifier] = profile
-                    new_wallets += 1
-                    profit_delta += profile.total_paid
-        return new_wallets, profit_delta
+            found = self._profit.profile_many(sorted(fresh))
+        self._profiles.update(found)
+        return len(found), sum((p.total_paid for p in found.values()), 0.0)
 
     def _aggregate_new(self, new_records: List[str]) -> int:
         """Feed this batch's records (and proxies) to the union-find."""
@@ -500,15 +468,9 @@ class IngestionService:
             merges = 0
             for sha in new_records:
                 merges += self._agg.add_record(self._records[sha])
-            new_proxies = set()
-            for sha in new_records:
-                record = self._records[sha]
-                candidate = proxy_candidate_ip(record)
-                if candidate is None or candidate in self._proxy_ips:
-                    continue
-                if any(identifier in self._profiles
-                       for identifier in record.identifiers):
-                    new_proxies.add(candidate)
+            new_proxies = proxy_ips(
+                proxy_candidates(self._records[sha] for sha in new_records),
+                self._profiles) - self._proxy_ips
             self._proxy_ips |= new_proxies
             merges += self._agg.add_proxy_ips(new_proxies)
         return merges
@@ -544,15 +506,11 @@ class IngestionService:
         prof = self.profiler
         kept = list(self._records.values())
         with prof.stage("ingest: funnel accounting", items=len(kept)):
-            stats.miners = sum(1 for r in kept if r.is_miner)
-            stats.ancillaries = len(kept) - stats.miners
+            stats.miners = stats.ancillaries = 0
             stats.by_source = {}
             for record in kept:
-                sample = self.world.sample_by_hash(record.sha256)
-                if sample is not None:
-                    for feed in sample.sources:
-                        stats.by_source[feed] = \
-                            stats.by_source.get(feed, 0) + 1
+                stats.count_kept(record,
+                                 self.world.sample_by_hash(record.sha256))
         with prof.stage("ingest: materialise campaigns"):
             campaigns = self._agg.campaigns()
         with prof.stage("ingest: enrichment", items=len(campaigns)):
@@ -709,23 +667,7 @@ class IngestionService:
         set, so this lands on the same state an uninterrupted run would
         hold — cheaper and safer than persisting pool responses.
         """
-        for record in self._records.values():
-            for identifier in record.identifiers:
-                if identifier in self._profiled:
-                    continue
-                self._profiled.add(identifier)
-                profile = self._profit.profile_wallet(identifier)
-                if profile.records:
-                    self._profiles[identifier] = profile
-        proxies = set()
-        for record in self._records.values():
-            candidate = proxy_candidate_ip(record)
-            if candidate is None:
-                continue
-            if any(identifier in self._profiles
-                   for identifier in record.identifiers):
-                proxies.add(candidate)
-        self._proxy_ips = proxies
-        for record in self._records.values():
-            self._agg.add_record(record)
-        self._agg.add_proxy_ips(proxies)
+        self._profiles, self._proxy_ips = derive_from_records(
+            self._records.values(), self._profit, self._agg)
+        self._profiled = {identifier for record in self._records.values()
+                          for identifier in record.identifiers}

@@ -44,11 +44,16 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.aggregation import Campaign, GroupingPolicy
+from repro.core.extraction import DEFAULT_ANALYSIS_DATE
 from repro.core.pipeline import (
+    KEPT_OUTCOMES,
     PipelineStats,
     analyze_linked_sample,
     build_analysis_components,
-    proxy_candidate_ip,
+    linked_hashes,
+    proxy_candidates,
+    proxy_ips,
+    recover_linked,
 )
 from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
@@ -57,6 +62,7 @@ from repro.corpus.model import SampleRecord, SyntheticWorld
 from repro.perf.parallel import (
     AnalysisSpec,
     ParallelExtractionEngine,
+    SampleOutcome,
     stage1_analyze,
     stage2_sweep,
 )
@@ -65,8 +71,6 @@ from repro.scale.shards import ShardedCampaignAggregator
 from repro.scale.stream import ChunkPrefetcher, StreamingCorpus
 
 __all__ = ["ScalePipeline", "ScaleResult"]
-
-_DEFAULT_ANALYSIS_DATE = datetime.date(2018, 9, 1)
 
 #: spill payload: the sample plus the intel its chunk carried for it.
 _SpillEntry = Tuple[SampleRecord, object, object]
@@ -183,7 +187,7 @@ class ScalePipeline:
                  workdir: Optional[Path] = None,
                  policy: Optional[GroupingPolicy] = None,
                  positives_threshold: int = 10,
-                 analysis_date: datetime.date = _DEFAULT_ANALYSIS_DATE,
+                 analysis_date: datetime.date = DEFAULT_ANALYSIS_DATE,
                  use_ha_reports: bool = True,
                  workers: int = 1,
                  num_shards: int = 8,
@@ -275,25 +279,28 @@ class ScalePipeline:
 
     # -- acceptance bookkeeping --------------------------------------------
 
+    def _merge(self, outcome: SampleOutcome, sample: SampleRecord,
+               stats: PipelineStats,
+               verdicts: Dict[str, SanityVerdict]) -> None:
+        """Fold one analysed outcome in (deferred/rejected spills are the
+        caller's: they need the chunk's intel)."""
+        stats.tally(outcome)
+        if self._keep_verdicts and outcome.kind != "deferred":
+            verdicts[outcome.sha256] = outcome.verdict
+        if outcome.kind in KEPT_OUTCOMES:
+            self._accept(outcome.record, sample, stats)
+
     def _accept(self, record: MinerRecord, sample: SampleRecord,
                 stats: PipelineStats) -> None:
         self._accepted.add(record.sha256)
         self._identifiers.update(record.identifiers)
         self._accum_links.update(record.parents)
         self._accum_links.update(record.dropped)
-        candidate = proxy_candidate_ip(record)
-        if candidate is not None and record.identifiers:
-            self._proxy_candidates.append(
-                (candidate, tuple(record.identifiers)))
+        self._proxy_candidates.extend(proxy_candidates((record,)))
         # the batch funnel counts these over the final kept set; a
         # record's type never changes after acceptance, so counting at
         # acceptance is the same sum.
-        if record.is_miner:
-            stats.miners += 1
-        else:
-            stats.ancillaries += 1
-        for feed in sample.sources:
-            stats.by_source[feed] = stats.by_source.get(feed, 0) + 1
+        stats.count_kept(record, sample)
         self._buffer.append(record)
         if len(self._buffer) >= self._segment_rows:
             self._flush_segment()
@@ -307,10 +314,14 @@ class ScalePipeline:
         self._buffer = []
 
     def _index_parents(self, reports: Dict[str, object]) -> None:
-        """Incremental replacement for ``vt.children_of``'s full scan."""
+        """Feed :meth:`children_of` from one chunk's reports."""
         for sha, report in reports.items():
             for parent in report.parents:
                 self._reverse_parents.setdefault(parent, []).append(sha)
+
+    def children_of(self, sha256: str) -> List[str]:
+        """Incremental replacement for ``vt.children_of``'s full scan."""
+        return self._reverse_parents.get(sha256, [])
 
     # -- stages ------------------------------------------------------------
 
@@ -328,9 +339,9 @@ class ScalePipeline:
 
             identifiers = sorted(self._identifiers)
             profiles = self._profit.profile_many(identifiers)
-            proxy_ips = self._find_proxies(profiles)
+            proxies = proxy_ips(self._proxy_candidates, profiles)
             aggregator = ShardedCampaignAggregator(
-                self.corpus.osint, self._policy, proxy_ips=proxy_ips,
+                self.corpus.osint, self._policy, proxy_ips=proxies,
                 num_shards=self._num_shards,
                 keep_records=self._keep_campaign_records,
                 workers=self.workers)
@@ -341,7 +352,7 @@ class ScalePipeline:
                 campaigns=campaigns,
                 profiles=profiles,
                 stats=stats,
-                proxy_ips=proxy_ips,
+                proxy_ips=proxies,
                 verdicts=verdicts,
                 deferred_spilled=len(deferred),
                 rejected_spilled=len(rejected),
@@ -404,33 +415,15 @@ class ScalePipeline:
                     range(len(chunk.samples)))
                 for outcome in outcomes:
                     outcome.index += index
-        for i, outcome in enumerate(outcomes):
-            sample = chunk.samples[i]
+        for sample, outcome in zip(chunk.samples, outcomes):
             sha = outcome.sha256
-            if outcome.kind == "nonexec":
-                if self._keep_verdicts:
-                    verdicts[sha] = outcome.verdict
-                continue
-            stats.executables += 1
-            if outcome.kind == "deferred":
-                deferred.put(sha, (sample, chunk.reports[sha],
-                                   chunk.ha_reports.get(sha)))
-                continue
-            stats.malware += 1
-            stats.sandbox_analyses += 1
-            if outcome.has_network:
-                stats.network_analyses += 1
-            if outcome.used_static:
-                stats.binary_analyses += 1
-            if self._keep_verdicts:
-                verdicts[sha] = outcome.verdict
-            if outcome.kind == "miner":
-                self._confirmed_wallets.update(
-                    outcome.record.identifiers)
-                self._accept(outcome.record, sample, stats)
-            else:
-                rejected.put(sha, (sample, chunk.reports[sha],
-                                   chunk.ha_reports.get(sha)))
+            if outcome.kind in ("deferred", "rejected"):
+                spill = deferred if outcome.kind == "deferred" else rejected
+                spill.put(sha, (sample, chunk.reports[sha],
+                                chunk.ha_reports.get(sha)))
+            elif outcome.kind == "miner":
+                self._confirmed_wallets.update(outcome.record.identifiers)
+            self._merge(outcome, sample, stats, verdicts)
         return index + len(chunk.samples)
 
     def _stage2(self, stats: PipelineStats,
@@ -454,15 +447,8 @@ class ScalePipeline:
                                         ha_reports) as engine:
                     outcomes = engine.map_stage2(
                         range(len(samples)), confirmed)
-            for i, outcome in enumerate(outcomes):
-                if self._keep_verdicts:
-                    verdicts[outcome.sha256] = outcome.verdict
-                if outcome.kind != "exception":
-                    continue
-                stats.sandbox_analyses += 1
-                stats.binary_analyses += 1
-                stats.wallet_exception_hits += 1
-                self._accept(outcome.record, samples[i], stats)
+            for sample, outcome in zip(samples, outcomes):
+                self._merge(outcome, sample, stats, verdicts)
 
         for _sha, entry in deferred.items():
             batch.append(entry)
@@ -484,38 +470,19 @@ class ScalePipeline:
         """
         linked: Set[str] = set(self._accum_links)
         for sha in self._accepted:
-            linked.update(self._reverse_parents.get(sha, ()))
-        while linked:
-            frontier: List[MinerRecord] = []
-            for sha in sorted(linked):
-                if sha in self._accepted:
-                    continue
-                entry = rejected.get(sha)
-                if entry is None:
-                    continue
-                sample, report, ha_report = entry
-                self._vt_view.swap({sha: report})
-                self._ha_view.swap(
-                    {sha: ha_report} if ha_report is not None else {})
-                record, verdict = analyze_linked_sample(sample, self._engine)
-                stats.sandbox_analyses += 1
-                if self._keep_verdicts:
-                    verdicts[sha] = verdict
-                self._accept(record, sample, stats)
-                self._recovered += 1
-                frontier.append(record)
-            linked = set()
-            for record in frontier:
-                linked.update(record.parents)
-                linked.update(record.dropped)
-                linked.update(self._reverse_parents.get(record.sha256, ()))
+            linked.update(self.children_of(sha))
 
-    def _find_proxies(self, profiles: Dict[str, WalletProfile]) -> Set[str]:
-        proxies: Set[str] = set()
-        for candidate, identifiers in self._proxy_candidates:
-            for identifier in identifiers:
-                profile = profiles.get(identifier)
-                if profile is not None and profile.records:
-                    proxies.add(candidate)
-                    break
-        return proxies
+        def admit(sha: str) -> Optional[MinerRecord]:
+            entry = None if sha in self._accepted else rejected.get(sha)
+            if entry is None:
+                return None
+            sample, report, ha_report = entry
+            self._vt_view.swap({sha: report})
+            self._ha_view.swap(
+                {sha: ha_report} if ha_report is not None else {})
+            outcome = analyze_linked_sample(sample, self._engine)
+            self._merge(outcome, sample, stats, verdicts)
+            return outcome.record
+
+        self._recovered += recover_linked(
+            linked, admit, lambda record: linked_hashes(record, self))

@@ -228,9 +228,10 @@ class HttpServer:
                     break
                 try:
                     response = await self.handler(request)
-                except Exception as exc:  # noqa: BLE001 — 500 boundary
+                except Exception:  # noqa: BLE001 — 500 boundary
+                    # a fixed body: exception text can carry internals
                     response = json_response(
-                        {"error": f"internal error: {exc}"}, status=500)
+                        {"error": "internal error"}, status=500)
                 close = (request.header("connection").lower() == "close")
                 if close:
                     response.headers["connection"] = "close"

@@ -28,7 +28,9 @@ from repro.core.enrichment import CampaignEnricher
 from repro.core.pipeline import (
     MeasurementResult,
     PipelineStats,
-    proxy_candidate_ip,
+    derive_from_records,
+    proxy_candidates,
+    proxy_ips,
 )
 from repro.core.profit import ProfitAnalyzer, WalletProfile
 from repro.core.records import MinerRecord
@@ -101,36 +103,16 @@ def derive_result_from_records(world: SyntheticWorld,
     and stay empty/zero.
     """
     kept = list(records)
-    profit = ProfitAnalyzer(world.pool_directory)
-    profiles: Dict[str, WalletProfile] = {}
-    profiled = set()
-    for record in kept:
-        for identifier in record.identifiers:
-            if identifier in profiled:
-                continue
-            profiled.add(identifier)
-            profile = profit.profile_wallet(identifier)
-            if profile.records:
-                profiles[identifier] = profile
-    proxies = set()
-    for record in kept:
-        candidate = proxy_candidate_ip(record)
-        if candidate is None:
-            continue
-        if any(identifier in profiles
-               for identifier in record.identifiers):
-            proxies.add(candidate)
     agg = IncrementalAggregator(world.osint, GroupingPolicy.full())
-    for record in kept:
-        agg.add_record(record)
-    agg.add_proxy_ips(proxies)
+    profiles, proxies = derive_from_records(
+        kept, ProfitAnalyzer(world.pool_directory), agg)
     campaigns = agg.campaigns()
     enricher = CampaignEnricher(world.vt, world.stock_catalog,
                                 world.sample_by_hash)
     enricher.enrich_all(campaigns, profiles)
     stats = PipelineStats()
-    stats.miners = sum(1 for r in kept if r.is_miner)
-    stats.ancillaries = len(kept) - stats.miners
+    for record in kept:
+        stats.count_kept(record)
     return MeasurementResult(records=kept, campaigns=campaigns,
                              profiles=profiles, verdicts={},
                              stats=stats, proxy_ips=proxies)
@@ -169,30 +151,13 @@ def result_from_store(world: SyntheticWorld, store,
     Peak memory is the index tables plus one aggregation shard, not
     the corpus.
     """
-    profit = ProfitAnalyzer(world.pool_directory)
-    profiles: Dict[str, WalletProfile] = {}
-    profiled = set()
     stats = PipelineStats()
+    identifiers: Dict[str, None] = {}
     for record in store.iter_records():
-        if record.is_miner:
-            stats.miners += 1
-        else:
-            stats.ancillaries += 1
-        for identifier in record.identifiers:
-            if identifier in profiled:
-                continue
-            profiled.add(identifier)
-            profile = profit.profile_wallet(identifier)
-            if profile.records:
-                profiles[identifier] = profile
-    proxies: Set[str] = set()
-    for record in store.iter_records():
-        candidate = proxy_candidate_ip(record)
-        if candidate is None:
-            continue
-        if any(identifier in profiles
-               for identifier in record.identifiers):
-            proxies.add(candidate)
+        stats.count_kept(record)
+        identifiers.update(dict.fromkeys(record.identifiers))
+    profiles = ProfitAnalyzer(world.pool_directory).profile_many(identifiers)
+    proxies = proxy_ips(proxy_candidates(store.iter_records()), profiles)
     enricher = CampaignEnricher(world.vt, world.stock_catalog,
                                 world.sample_by_hash)
     aggregator = ShardedCampaignAggregator(

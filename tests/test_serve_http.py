@@ -7,6 +7,7 @@ client), which is also what CI's smoke job exercises.
 """
 
 import asyncio
+import http.client
 import json
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from repro.serve.app import MAX_SCAN_IOCS, IntelService
 from repro.serve.auth import ApiKeyRegistry, TokenBucket
 from repro.serve.client import IntelClient
-from repro.serve.http import BackgroundServer, HttpRequest
+from repro.serve.http import BackgroundServer, HttpRequest, json_response
 from repro.serve.index import build_index
 
 _KEY = "test-key"
@@ -198,3 +199,31 @@ class TestRealSockets:
             with IntelClient(server.host, server.port) as client:
                 status, _ = client.request("GET", "/v1/info")
                 assert status == 401
+
+    def test_handler_error_hides_its_message(self):
+        """A raising handler yields a fixed 500 body, and the keep-alive
+        connection goes on serving."""
+        async def handler(request):
+            if request.path == "/boom":
+                raise RuntimeError("secret")
+            return json_response({"ok": True})
+
+        with BackgroundServer(handler) as server:
+            conn = http.client.HTTPConnection(server.host, server.port,
+                                              timeout=10)
+            try:
+                conn.request("GET", "/boom")
+                response = conn.getresponse()
+                body = response.read()
+                sock = conn.sock
+                assert response.status == 500
+                assert b"secret" not in body
+                assert json.loads(body) == {"error": "internal error"}
+
+                conn.request("GET", "/fine")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read()) == {"ok": True}
+                assert conn.sock is sock  # same connection
+            finally:
+                conn.close()
