@@ -12,8 +12,6 @@ Subcommands::
     python -m repro.cli serve     [--checkpoint DIR | --store DIR]
                                   [--port 8742] [--api-key KEY --rate 50]
                                   [--workers N]
-    python -m repro.cli bench     [--suite scale|pipeline|scan|serve|
-                                   ingest|all] [--workers-list 1,2,4]
     python -m repro.cli lint      [--strict] [--update-baseline]
                                   [--changed] [--graph] [--workers N]
                                   [--json | --sarif]
@@ -29,9 +27,7 @@ the whole world in memory; ``serve`` starts the threat-intel HTTP API
 (:mod:`repro.serve`) over a checkpoint directory (hot-swapping as the
 checkpoint advances), a columnar record store, or a fresh pipeline
 run — ``--workers N`` forks an ``SO_REUSEPORT`` fleet of N serving
-processes sharing one pre-fork index; ``bench`` emits the
-``BENCH_*.json`` scaling/stage benchmarks plus per-run
-``BENCH_history/`` entries; ``lint`` runs the
+processes sharing one pre-fork index; ``lint`` runs the
 reprolint invariant checks (see ``docs/static-analysis.md``) and fails
 on findings the committed baseline does not accept — ``--changed``
 narrows reporting to the git diff, ``--graph`` dumps the resolved
@@ -417,26 +413,6 @@ def _serve_fleet(service, args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run the benchmark harness (see ``benchmarks/harness.py``)."""
-    from repro.scale import bench
-    argv = ["--suite", args.suite, "--seed", str(args.seed),
-            "--workers", str(args.workers),
-            "--prefetch", str(args.prefetch),
-            "--chunk-samples", str(args.chunk_samples),
-            "--shards", str(args.shards),
-            "--iterations", str(args.iterations),
-            "--duration", str(args.duration),
-            "--concurrency", str(args.concurrency),
-            "--batch-days", str(args.batch_days),
-            "--out-dir", args.out_dir]
-    if args.scales:
-        argv += ["--scales", args.scales]
-    if args.workers_list:
-        argv += ["--workers-list", args.workers_list]
-    return bench.main(argv)
-
-
 def cmd_lint(args) -> int:
     """Run reprolint over the source tree and gate on the baseline."""
     import json
@@ -632,37 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--poll-interval", type=float, default=2.0,
                        help="checkpoint poll period for hot swap")
     serve.set_defaults(func=cmd_serve)
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark harness; writes BENCH_<suite>.json plus a "
-             "BENCH_history/ entry per run (suites: scale, pipeline, "
-             "scan, serve, ingest)")
-    bench.add_argument("--suite",
-                       choices=["scale", "pipeline", "scan", "serve",
-                                "ingest", "all"],
-                       default="all")
-    bench.add_argument("--scales", type=str, default=None,
-                       help="comma-separated scale factors")
-    bench.add_argument("--seed", type=int, default=2019)
-    bench.add_argument("--workers", type=_positive_int, default=1)
-    bench.add_argument("--workers-list", type=str, default=None,
-                       help="comma-separated worker counts for the "
-                            "scale / serve lanes (e.g. 1,2,4)")
-    bench.add_argument("--prefetch", type=int, default=2,
-                       help="chunk prefetch depth for the scale lane")
-    bench.add_argument("--batch-days", type=_positive_int, default=30,
-                       help="feed-batch size for the ingest lane")
-    bench.add_argument("--chunk-samples", type=_positive_int,
-                       default=4096)
-    bench.add_argument("--shards", type=_positive_int, default=8)
-    bench.add_argument("--iterations", type=_positive_int, default=3,
-                       help="best-of iterations for the scan lane")
-    bench.add_argument("--duration", type=float, default=8.0,
-                       help="sustained-load seconds for the serve lane")
-    bench.add_argument("--concurrency", type=_positive_int, default=8,
-                       help="client threads for the serve lane")
-    bench.add_argument("--out-dir", type=str, default=".")
-    bench.set_defaults(func=cmd_bench)
     status = sub.add_parser("status")
     status.add_argument("--checkpoint", type=str, required=True,
                         help="checkpoint directory to inspect")

@@ -1,14 +1,10 @@
-"""Cross-machine bench normalisation: a fixed CPU microbenchmark.
+"""A fixed CPU microbenchmark that stamps a benchmark run's machine.
 
-``BENCH_*.json`` baselines are committed from whatever machine last
-ran them; CI runners and dev boxes differ by 2-3x in single-core
-speed, so raw point-to-point throughput comparisons gate machine
-noise, not code.  Every suite payload gets stamped with
-:func:`calibration_score` — the throughput of a fixed,
-dependency-free workload measured in the same process right before
-the suite — and the regression gate compares *machine-normalised*
-ratios (``metric / score``) whenever both sides carry a stamp,
-falling back to raw metrics against pre-stamp baselines.
+Dev boxes and CI runners differ by 2-3x in single-core speed, so a
+throughput figure means little without a note of how fast the machine
+was.  :func:`calibration_score` is the throughput of a fixed,
+dependency-free workload; ``perfbench/run.py`` records it in every run
+stamp so runs from different machines can be read side by side.
 
 The workload is sha256 over a fixed in-memory buffer: pure CPU, no
 allocation churn, no disk, stable across Python patch versions, and

@@ -1,4 +1,4 @@
-"""Peak-RSS measurement for benchmarks and the scaling harness.
+"""Peak-RSS measurement for benchmarks and ``repro scale``.
 
 ``resource.getrusage`` reports the process-lifetime resident-set
 high-water mark; ``ru_maxrss`` is in kilobytes on Linux and bytes on
@@ -8,8 +8,8 @@ their own high-water marks through ``RUSAGE_CHILDREN``, so a pooled
 benchmark cannot under-report by hiding its allocations in workers.
 
 Because the kernel counter is a lifetime maximum, per-phase deltas
-cannot be measured in-process — the bench harness therefore runs each
-measured point in a fresh subprocess and reads that child's peak.
+cannot be measured in-process — ``perfbench/run.py`` therefore runs
+each measured pass in a fresh subprocess and reads that child's peak.
 """
 
 import sys

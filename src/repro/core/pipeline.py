@@ -188,7 +188,8 @@ def derive_from_records(records: Iterable[MinerRecord],
     """Profiles and proxies of a bare record set, fed with the records
     to ``aggregator``.
 
-    Each identifier is profiled once, in first-seen record order.
+    Each identifier is asked for once, in first-seen record order;
+    ``profile_many`` keys the hits in identifier order.
     ``aggregator`` is an incremental union-find
     (:class:`repro.ingest.aggregator.IncrementalAggregator`, duck-typed
     to avoid a core -> ingest import).  Everything here is a pure
@@ -455,7 +456,7 @@ class MeasurementPipeline:
             for identifier in record.identifiers
         }
         with prof.stage("profit analysis", items=len(identifiers)):
-            profiles = self._profit.profile_many(sorted(identifiers))
+            profiles = self._profit.profile_many(identifiers)
 
         # -- stage 5: proxy identification --------------------------------
         with prof.stage("proxy identification"):

@@ -110,9 +110,11 @@ class ProfitAnalyzer:
         return profile
 
     def profile_many(self, identifiers: Iterable[str]) -> Dict[str, WalletProfile]:
-        """Profile a batch of identifiers; only hits are returned."""
+        """Profile each distinct identifier once; only hits are
+        returned, keyed in identifier order so every driver's
+        ``profiles`` (and any float sum over it) comes out the same."""
         out: Dict[str, WalletProfile] = {}
-        for identifier in identifiers:
+        for identifier in sorted(set(identifiers)):
             profile = self.profile_wallet(identifier)
             if profile.records:
                 out[identifier] = profile

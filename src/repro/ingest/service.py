@@ -457,7 +457,7 @@ class IngestionService:
                     self._profiled.add(identifier)
                     fresh.append(identifier)
         with self.profiler.stage("ingest: profit", items=len(fresh)):
-            found = self._profit.profile_many(sorted(fresh))
+            found = self._profit.profile_many(fresh)
         self._profiles.update(found)
         return len(found), sum((p.total_paid for p in found.values()), 0.0)
 
@@ -520,7 +520,7 @@ class IngestionService:
             enricher.enrich_all(campaigns, self._profiles)
         return MeasurementResult(
             records=kept, campaigns=campaigns,
-            profiles=dict(self._profiles),
+            profiles=dict(sorted(self._profiles.items())),
             verdicts=dict(verdicts),
             stats=stats, proxy_ips=set(self._proxy_ips))
 

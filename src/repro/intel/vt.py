@@ -64,12 +64,16 @@ class VtService:
 
     def __init__(self, rate_limit: Optional[int] = None) -> None:
         self._reports: Dict[str, AvReport] = {}
+        #: parent sha -> children in report order; built by
+        #: :meth:`children_of`, dropped whenever a report is stored
+        self._children: Optional[Dict[str, List[str]]] = None
         self._rate_limit = rate_limit
         self._queries_served = 0
 
     def add_report(self, report: AvReport) -> None:
         """Store (or replace) the report for one sample."""
         self._reports[report.sha256] = report
+        self._children = None
 
     def __len__(self) -> int:
         return len(self._reports)
@@ -116,7 +120,12 @@ class VtService:
         ]
 
     def children_of(self, sha256: str) -> List[str]:
-        """Samples that list ``sha256`` among their parents."""
-        return [
-            r.sha256 for r in self._reports.values() if sha256 in r.parents
-        ]
+        """Samples that list ``sha256`` among their parents, in report
+        order (a reverse-parents index, not a scan per call)."""
+        if self._children is None:
+            self._children = {}
+            for report in self._reports.values():
+                for parent in dict.fromkeys(report.parents):
+                    self._children.setdefault(parent, []).append(
+                        report.sha256)
+        return list(self._children.get(sha256, ()))

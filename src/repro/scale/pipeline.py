@@ -19,14 +19,14 @@ either on disk or in compact per-sample scalars:
   ``is_executable`` and ``is_malware`` and not already be kept — at
   stage 1 that is precisely the ``rejected`` outcome, so spilling
   anything else would be waste);
-* dropper links      -> an in-memory reverse-parents index replacing
-  ``vt.children_of``'s linear scan over all reports.
+* dropper links      -> an in-memory reverse-parents index fed chunk
+  by chunk, in place of ``vt.children_of`` over a whole-world VT.
 
 What stays resident is O(samples) only in small constants — the
 accepted/seen hash sets, spill offsets, link sets, per-feed counters —
 about 100–150 bytes per sample against the batch pipeline's ~10 KB of
-live ``SampleRecord``/report objects.  The measured scaling curve lives
-in ``BENCH_scale.json``; the layout rationale in
+live ``SampleRecord``/report objects.  The ``stream`` workload of
+``perfbench/run.py`` measures it; the layout rationale is in
 ``docs/performance.md``.
 
 Campaign enrichment (stock-tool attribution, packer hist) needs sample
@@ -153,7 +153,7 @@ class ScaleResult:
     stats: PipelineStats
     proxy_ips: Set[str]
     verdicts: Dict[str, SanityVerdict] = field(default_factory=dict)
-    #: observability for the scaling bench
+    #: spill counters (``repro scale`` prints them)
     deferred_spilled: int = 0
     rejected_spilled: int = 0
     recovered: int = 0
@@ -320,7 +320,7 @@ class ScalePipeline:
                 self._reverse_parents.setdefault(parent, []).append(sha)
 
     def children_of(self, sha256: str) -> List[str]:
-        """Incremental replacement for ``vt.children_of``'s full scan."""
+        """``vt.children_of`` over the chunks streamed so far."""
         return self._reverse_parents.get(sha256, [])
 
     # -- stages ------------------------------------------------------------
@@ -337,8 +337,7 @@ class ScalePipeline:
             self._recover(stats, verdicts, rejected)
             self._flush_segment()
 
-            identifiers = sorted(self._identifiers)
-            profiles = self._profit.profile_many(identifiers)
+            profiles = self._profit.profile_many(self._identifiers)
             proxies = proxy_ips(self._proxy_candidates, profiles)
             aggregator = ShardedCampaignAggregator(
                 self.corpus.osint, self._policy, proxy_ips=proxies,

@@ -1,7 +1,7 @@
 """Bundled synchronous client for the intel API.
 
 A thin :mod:`http.client` wrapper (stdlib only, like the server) used
-by the bench harness, the CI smoke job and integration tests.  One
+by the CI smoke job and integration tests.  One
 client holds one keep-alive connection; a stale connection (server
 restarted, idle timeout) is retried once on a fresh socket.
 """

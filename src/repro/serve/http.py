@@ -7,7 +7,7 @@ is deliberately decoupled from routing — the server takes any async
 application directly and the benchmark can swap transports.
 
 :class:`BackgroundServer` runs the event loop in a daemon thread for
-synchronous callers (tests, the bench harness, CI smoke).
+synchronous callers (tests, the ``perfbench`` server, CI smoke).
 """
 
 import asyncio

@@ -131,10 +131,10 @@ class IntelIndex:
         return out
 
     def examples(self, limit: int = 8) -> Dict[str, List[Any]]:
-        """A few indicators per table (bench / smoke query seeds).
+        """A few indicators per table (smoke and test query seeds).
 
         ``nsmallest`` instead of a full sort: the hash table is
-        corpus-sized and this runs per bench point / smoke probe.
+        corpus-sized.
         """
         return {
             "hashes": nsmallest(limit, self._hashes),

@@ -152,10 +152,10 @@ def result_from_store(world: SyntheticWorld, store,
     the corpus.
     """
     stats = PipelineStats()
-    identifiers: Dict[str, None] = {}
+    identifiers: Set[str] = set()
     for record in store.iter_records():
         stats.count_kept(record)
-        identifiers.update(dict.fromkeys(record.identifiers))
+        identifiers.update(record.identifiers)
     profiles = ProfitAnalyzer(world.pool_directory).profile_many(identifiers)
     proxies = proxy_ips(proxy_candidates(store.iter_records()), profiles)
     enricher = CampaignEnricher(world.vt, world.stock_catalog,

@@ -126,6 +126,27 @@ class TestCrashResume:
         assert diff_measurements(first.result, again.result) == []
         assert diff_measurements(expected, again.result) == []
 
+    def test_resumed_profiles_match_uninterrupted_order(self, world,
+                                                        expected,
+                                                        tmp_path):
+        """Wallet profiles come out in identifier order on every path,
+        so float sums over them are bit-identical after a resume."""
+        first = IngestionService(world, tmp_path / "whole", batch_days=30,
+                                 fsync=False).run().result
+        run_until_crash(world, tmp_path / "ck", "post-commit", 5)
+        resumed = IngestionService(world, tmp_path / "ck", batch_days=30,
+                                   snapshot_every=4, fsync=False,
+                                   resume=True).run().result
+        cold = IngestionService(world, tmp_path / "whole", batch_days=30,
+                                fsync=False, resume=True).run().result
+        order = sorted(expected.profiles)
+        total = sum(p.total_paid for p in expected.profiles.values())
+        assert list(expected.profiles) == order
+        for result in (first, resumed, cold):
+            assert list(result.profiles) == order
+            assert sum(p.total_paid
+                       for p in result.profiles.values()) == total
+
 
 class TestSigkillResume:
     def test_sigkill_mid_run_then_cli_resume(self, tmp_path):

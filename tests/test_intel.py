@@ -89,6 +89,26 @@ class TestVtService:
         assert vt.children_of("parent") == ["child"]
         assert vt.children_of("child") == []
 
+    def test_children_index_matches_linear_scan(self, small_world):
+        def scan(vt, sha):
+            return [r.sha256 for r in vt.reports() if sha in r.parents]
+
+        vt = VtService()
+        for r in small_world.vt.reports():
+            vt.add_report(r)
+        shas = [r.sha256 for r in vt.reports()]
+        assert any(scan(vt, sha) for sha in shas), "world has no droppers"
+        for sha in shas:
+            assert vt.children_of(sha) == scan(vt, sha)
+        # a report stored after the first call: a new child of an
+        # existing dropper, listing it twice, then a replaced report
+        parent = next(sha for sha in shas if scan(vt, sha))
+        vt.add_report(report("late", parents=[parent, parent]))
+        vt.add_report(report(shas[0], parents=[parent]))
+        for sha in shas + ["late"]:
+            assert vt.children_of(sha) == scan(vt, sha)
+        assert vt.children_of(parent)[-1] == "late"
+
 
 class TestHaService:
     def _report(self, sha="h1", host="pool.minexmr.com"):

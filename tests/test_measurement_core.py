@@ -224,3 +224,15 @@ class TestDriversAgree:
         assert ingest.result.proxy_ips == expected
         assert derived.proxy_ips == expected
         assert stored.proxy_ips == expected
+
+    def test_profiles_in_identifier_order_everywhere(
+            self, small_world, pipeline_result, stream_result, tmp_path):
+        ingest = IngestionService(small_world, tmp_path / "ck",
+                                  batch_days=90, fsync=False).run()
+        derived = derive_result_from_records(
+            small_world, reversed(pipeline_result.records))
+        stored = result_from_store(small_world, stream_result.store)
+        order = sorted(pipeline_result.profiles)
+        for result in (pipeline_result, stream_result, ingest.result,
+                       derived, stored):
+            assert list(result.profiles) == order

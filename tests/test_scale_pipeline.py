@@ -163,21 +163,3 @@ class TestRecordStoreRouting:
         again.run()
         assert first.stat().st_mtime_ns == stamp
 
-
-class TestBenchHarness:
-    def test_scale_point_metrics(self):
-        from repro.scale.bench import measure_scale_point
-        point = measure_scale_point(0.01, seed=1, chunk_samples=512)
-        assert point["samples"] > 0
-        assert point["records"] > 0
-        assert point["campaigns"] > 0
-        assert point["run_s"] > 0
-        assert point["peak_rss_mib"] > 0
-        assert point["segments"] >= 1
-
-    def test_pipeline_point_metrics(self):
-        from repro.scale.bench import measure_pipeline_point
-        point = measure_pipeline_point(0.01, seed=1)
-        assert point["samples"] > 0
-        assert point["stages"], "expected per-stage timings"
-        assert {"stage", "seconds", "items"} <= set(point["stages"][0])

@@ -3,8 +3,9 @@
 A two-worker :class:`~repro.serve.fleet.ServerFleet` over the shared
 pipeline-result index: point lookups and a bulk ``/v1/scan`` answered
 correctly, connections actually landing on the forked children (every
-``/v1/healthz`` pid is one of the fleet's), and ``stop()`` leaving no
-live child behind.  POSIX-only by construction — the fleet refuses to
+``/v1/healthz`` pid is one of the fleet's), both workers sharing the
+pre-fork index copy-on-write, and ``stop()`` leaving no live child
+behind.  POSIX-only by construction — the fleet refuses to
 start without ``os.fork``.
 """
 
@@ -42,6 +43,17 @@ def _healthz_pid(host, port):
         status, payload = client.request("GET", "/v1/healthz")
     assert status == 200
     return payload["pid"]
+
+
+def _smaps_rollup(pid):
+    """The kB counters of ``/proc/<pid>/smaps_rollup``."""
+    fields = {}
+    with open(f"/proc/{pid}/smaps_rollup") as handle:
+        for line in handle:
+            parts = line.split()
+            if len(parts) == 3 and parts[2] == "kB":
+                fields[parts[0].rstrip(":")] = int(parts[1])
+    return fields
 
 
 class TestServerFleet:
@@ -83,12 +95,32 @@ class TestServerFleet:
                 assert {sha, wallet} <= hits
                 assert payload["submitted"] == 3
                 assert payload["generation"] == 1
+            # both workers survived the load
+            assert sorted(fleet.alive()) == sorted(fleet.pids)
             pids = list(fleet.pids)
         # clean exit: every child reaped, none left running
         assert fleet.pids == []
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup"),
+                        reason="needs Linux smaps_rollup")
+    def test_workers_share_the_prefork_index(self, service, index):
+        """Copy-on-write: after serving queries, the two forked workers
+        add well under half the parent's footprint (unshared, they would
+        each add about all of it)."""
+        sha = index.examples(limit=1)["hashes"][0]
+        with ServerFleet(service.handle, workers=2) as fleet:
+            with IntelClient(fleet.host, fleet.port,
+                             api_key=_KEY) as client:
+                for _ in range(20):
+                    assert client.request(
+                        "GET", f"/v1/hash/{sha}")[0] == 200
+            parent_rss = _smaps_rollup(os.getpid())["Rss"]
+            total_pss = sum(_smaps_rollup(pid)["Pss"]
+                            for pid in [os.getpid()] + fleet.pids)
+        assert total_pss < 1.5 * parent_rss, (total_pss, parent_rss)
 
     def test_stop_is_idempotent(self, service):
         fleet = ServerFleet(service.handle, workers=2).start()

@@ -10,6 +10,8 @@ once it drains.
 
 import asyncio
 import json
+import threading
+import time
 
 import pytest
 
@@ -20,7 +22,8 @@ from repro.ingest import IngestionService
 from repro.ingest.service import diff_measurements
 from repro.serve.app import IntelService
 from repro.serve.auth import ApiKeyRegistry
-from repro.serve.http import HttpRequest
+from repro.serve.client import IntelClient
+from repro.serve.http import BackgroundServer, HttpRequest
 from repro.serve.index import build_index
 from repro.serve.snapshot import (
     CheckpointIndexSource,
@@ -183,12 +186,60 @@ class TestWatcherSwap:
 
 
 class TestServeBenchSmoke:
-    def test_sustained_load_swap_is_clean(self):
-        from repro.serve.bench import measure_serve_point
-        point = measure_serve_point(scale=0.002, seed=11,
-                                    duration_s=1.2, concurrency=2)
-        assert point["requests"] > 0
-        assert point["errors"] == 0
-        assert point["swap_clean"] is True
-        assert set(point["generations_seen"]) <= {1, 2}
-        assert point["p99_ms"] >= point["p50_ms"] >= 0
+    def test_sustained_load_swap_is_clean(self, expected):
+        """Client threads keep querying a real socket while generation
+        2 is swapped in: no request fails and every response carries
+        generation 1 or 2."""
+        index = build_index(expected, generation=1, source="swap-smoke")
+        service = IntelService(index, _registry())
+        examples = index.examples(limit=4)
+        paths = ([f"/v1/hash/{sha}" for sha in examples["hashes"]]
+                 + [f"/v1/wallet/{w}" for w in examples["wallets"]]
+                 + [f"/v1/campaign/{c}" for c in examples["campaigns"]])
+        scan_body = {"iocs": examples["hashes"] + examples["wallets"]}
+        swapped = threading.Event()
+        observed = []  # (thread, status, generation)
+        lock = threading.Lock()
+
+        def client_loop(thread_id, host, port):
+            seen_after_swap = 0
+            with IntelClient(host, port, api_key=_KEY) as client:
+                position = thread_id
+                while seen_after_swap < 5:
+                    after = swapped.is_set()
+                    if position % 5 == 4:
+                        status, payload = client.request(
+                            "POST", "/v1/scan", body=scan_body)
+                    else:
+                        status, payload = client.request(
+                            "GET", paths[position % len(paths)])
+                    position += 1
+                    seen_after_swap += after
+                    with lock:
+                        observed.append((thread_id, status,
+                                         payload.get("generation")))
+
+        with BackgroundServer(service.handle) as server:
+            threads = [threading.Thread(target=client_loop,
+                                        args=(i, server.host, server.port))
+                       for i in range(3)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            while len(observed) < 30 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            second = build_index(expected, generation=2,
+                                 source="swap-smoke")
+            server.call_soon(lambda: service.swap(second))
+            swapped.set()
+            for thread in threads:
+                thread.join(timeout=30)
+
+        assert len(observed) >= 30
+        assert [o for o in observed if o[1] != 200] == []
+        generations = {o[2] for o in observed}
+        assert generations == {1, 2}
+        # each client saw generation 2 once the swap had landed
+        for thread_id in range(3):
+            assert [o[2] for o in observed if o[0] == thread_id][-1] == 2
+        assert service.generation == 2
